@@ -7,14 +7,36 @@
 //! result. Pipeline runs are deterministic, so handing every follower
 //! the leader's bytes is not an approximation — it is exactly the
 //! response they would have computed.
+//!
+//! A leader that panics does not strand its followers: a drop guard
+//! releases the key and wakes them, and each retries, one of them as the
+//! new leader.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Where an in-flight call stands.
+#[derive(Debug, Default)]
+enum State {
+    /// The leader is still computing.
+    #[default]
+    Pending,
+    /// The leader published its value.
+    Done(String),
+    /// The leader panicked before publishing.
+    Abandoned,
+}
 
 #[derive(Debug, Default)]
 struct Call {
-    result: Mutex<Option<String>>,
+    state: Mutex<State>,
     ready: Condvar,
+}
+
+/// Locks `m`, recovering from poisoning: no code panics while holding
+/// these locks, so their data is always consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// How a [`SingleFlight::run`] call obtained its value.
@@ -41,6 +63,27 @@ pub struct SingleFlight {
     calls: Mutex<HashMap<String, Arc<Call>>>,
 }
 
+/// The leader's drop guard: whether the leader returns or unwinds, it
+/// releases the key and wakes every follower with the value, or with
+/// [`State::Abandoned`] if there is none.
+struct Leader<'a> {
+    flights: &'a SingleFlight,
+    key: &'a str,
+    call: &'a Call,
+    value: Option<String>,
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        lock(&self.flights.calls).remove(self.key);
+        *lock(&self.call.state) = match self.value.take() {
+            Some(value) => State::Done(value),
+            None => State::Abandoned,
+        };
+        self.call.ready.notify_all();
+    }
+}
+
 impl SingleFlight {
     /// Creates an empty map.
     pub fn new() -> Self {
@@ -49,41 +92,40 @@ impl SingleFlight {
 
     /// Runs `compute` for `key`, unless an identical call is already in
     /// flight — then blocks until that call finishes and returns its
-    /// value.
+    /// value. If that call's leader panics, this caller retries, and
+    /// leads if no other caller got there first.
     pub fn run(&self, key: &str, compute: impl FnOnce() -> String) -> Outcome {
-        let (call, leader) = {
-            let mut calls = self.calls.lock().expect("singleflight map poisoned");
-            match calls.get(key) {
-                Some(call) => (Arc::clone(call), false),
-                None => {
-                    let call = Arc::new(Call::default());
-                    calls.insert(key.to_string(), Arc::clone(&call));
-                    (call, true)
+        loop {
+            let (call, leader) = {
+                let mut calls = lock(&self.calls);
+                match calls.get(key) {
+                    Some(call) => (Arc::clone(call), false),
+                    None => {
+                        let call = Arc::new(Call::default());
+                        calls.insert(key.to_string(), Arc::clone(&call));
+                        (call, true)
+                    }
                 }
-            }
-        };
+            };
 
-        if leader {
-            let value = compute();
-            {
-                let mut slot = call.result.lock().expect("singleflight call poisoned");
-                *slot = Some(value.clone());
+            if leader {
+                let mut guard = Leader {
+                    flights: self,
+                    key,
+                    call: &call,
+                    value: None,
+                };
+                let value = compute();
+                guard.value = Some(value.clone());
+                return Outcome::Led(value);
             }
-            call.ready.notify_all();
-            self.calls
-                .lock()
-                .expect("singleflight map poisoned")
-                .remove(key);
-            Outcome::Led(value)
-        } else {
-            let mut slot = call.result.lock().expect("singleflight call poisoned");
-            while slot.is_none() {
-                slot = call
-                    .ready
-                    .wait(slot)
-                    .expect("singleflight call poisoned");
+            let state = call
+                .ready
+                .wait_while(lock(&call.state), |state| matches!(state, State::Pending))
+                .unwrap_or_else(PoisonError::into_inner);
+            if let State::Done(value) = &*state {
+                return Outcome::Coalesced(value.clone());
             }
-            Outcome::Coalesced(slot.clone().expect("checked above"))
         }
     }
 }
@@ -143,6 +185,49 @@ mod tests {
         for o in &outcomes {
             assert_eq!(o.clone().into_value(), "shared");
         }
+    }
+
+    #[test]
+    fn panicking_leader_hands_the_key_to_a_follower() {
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+        let sf = Arc::new(SingleFlight::new());
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (fail_tx, fail_rx) = mpsc::channel::<()>();
+        let leader = {
+            let sf = Arc::clone(&sf);
+            std::thread::spawn(move || {
+                sf.run("k", || {
+                    entered_tx.send(()).unwrap();
+                    let _ = fail_rx.recv();
+                    panic!("leader failed");
+                })
+            })
+        };
+        entered_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let follower = {
+            let sf = Arc::clone(&sf);
+            std::thread::spawn(move || done_tx.send(sf.run("k", || "retried".to_string())))
+        };
+        // The follower has joined the flight once it holds the third
+        // reference to the call (after the map's and the leader's).
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Arc::strong_count(&sf.calls.lock().unwrap()["k"]) < 3 {
+            assert!(
+                Instant::now() < deadline,
+                "follower never joined the flight"
+            );
+            std::thread::yield_now();
+        }
+        fail_tx.send(()).unwrap();
+        assert!(leader.join().is_err(), "the leader panicked");
+        let out = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the follower must not block on a panicked leader");
+        assert_eq!(out, Outcome::Led("retried".to_string()));
+        follower.join().unwrap().unwrap();
+        assert!(sf.calls.lock().unwrap().is_empty(), "the key is released");
     }
 
     #[test]

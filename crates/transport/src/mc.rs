@@ -101,6 +101,14 @@ impl TransportConfig {
     }
 }
 
+/// Workers for a sharded run: the configured thread count, but never
+/// more than the machine's cores or the shard count. Workers only
+/// schedule shards, so the clamp never changes a tally.
+fn worker_count(threads: usize, shards: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    threads.max(1).min(cores).min(shards)
+}
+
 /// Terminal fate of one transported neutron.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fate {
@@ -605,7 +613,7 @@ impl Transport {
                 );
             }
         };
-        let threads = self.config.threads.max(1).min(shards);
+        let threads = worker_count(self.config.threads, shards);
         if threads <= 1 {
             for (i, slot) in slots.iter_mut().enumerate() {
                 run_shard(i, slot);
@@ -702,7 +710,7 @@ impl Transport {
                 );
             }
         };
-        let threads = self.config.threads.max(1).min(shards);
+        let threads = worker_count(self.config.threads, shards);
         if threads <= 1 {
             for (i, slot) in slots.iter_mut().enumerate() {
                 run_shard(i, slot);
@@ -793,6 +801,36 @@ mod tests {
 
     fn water_slab(cm: f64) -> Transport {
         Transport::new(SlabStack::single(Material::water(), Length(cm)))
+    }
+
+    #[test]
+    fn workers_never_exceed_cores_or_shards() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(worker_count(64, 1_000), cores);
+        assert_eq!(worker_count(64, 1), 1);
+        assert_eq!(worker_count(0, 5), 1);
+        assert_eq!(worker_count(1, 5), 1);
+    }
+
+    #[test]
+    fn tallies_at_64_threads_are_byte_identical_to_serial() {
+        let stack = || SlabStack::single(Material::water(), Length(4.0));
+        let serial = Transport::with_config(stack(), TransportConfig::serial());
+        let wide = Transport::with_config(stack(), TransportConfig::with_threads(64));
+        let (e, histories, seed) = (Energy::from_mev(1.5), 5 * SHARD_SIZE + 3, 64);
+        assert_eq!(
+            format!("{:?}", wide.run_beam(e, histories, seed)),
+            format!("{:?}", serial.run_beam(e, histories, seed))
+        );
+        assert_eq!(
+            format!("{:?}", wide.run_diffuse(e, histories, seed)),
+            format!("{:?}", serial.run_diffuse(e, histories, seed))
+        );
+        let vr = VarianceReduction::default();
+        assert_eq!(
+            format!("{:?}", wide.run_beam_weighted(e, histories, seed, vr)),
+            format!("{:?}", serial.run_beam_weighted(e, histories, seed, vr))
+        );
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! paper's reliability question is about fault propagation through the
 //! arithmetic of a CNN forward pass, not about accuracy, and seeded
 //! weights make every run bit-reproducible.
+//!
+//! A faulted inference does not re-run the whole network. It starts at
+//! the fault's layer from the fault-free activation recorded in a
+//! [`GoldenTrace`], and stops as soon as an activation is bit-identical
+//! to the recorded one: every later layer then sees exactly its
+//! fault-free input, so the output is the fault-free output.
+
+use std::borrow::Cow;
 
 use crate::mxm::{splitmix, unit_f64};
 use crate::workload::Fault;
@@ -96,7 +104,9 @@ impl Layer {
         let weights = (0..out_c * in_c * 9)
             .map(|_| (unit_f64(&mut gen) * 2.0 - 1.0) * scale)
             .collect();
-        let bias = (0..out_c).map(|_| (unit_f64(&mut gen) - 0.5) * 0.1).collect();
+        let bias = (0..out_c)
+            .map(|_| (unit_f64(&mut gen) - 0.5) * 0.1)
+            .collect();
         Layer::Conv3x3 {
             in_c,
             out_c,
@@ -112,7 +122,9 @@ impl Layer {
         let weights = (0..out_f * in_f)
             .map(|_| (unit_f64(&mut gen) * 2.0 - 1.0) * scale)
             .collect();
-        let bias = (0..out_f).map(|_| (unit_f64(&mut gen) - 0.5) * 0.1).collect();
+        let bias = (0..out_f)
+            .map(|_| (unit_f64(&mut gen) - 0.5) * 0.1)
+            .collect();
         Layer::Dense {
             in_f,
             out_f,
@@ -156,24 +168,36 @@ impl Layer {
             } => {
                 let (h, w) = (input.h, input.w);
                 let mut out = Tensor::zeros(*out_c, h, w);
-                for oc in 0..*out_c {
-                    for y in 0..h {
-                        for x in 0..w {
-                            let mut acc = bias[oc];
-                            for ic in 0..*in_c {
-                                for ky in 0..3usize {
-                                    for kx in 0..3usize {
-                                        let sy = y + ky;
-                                        let sx = x + kx;
-                                        if sy == 0 || sx == 0 || sy > h || sx > w {
-                                            continue; // zero padding
-                                        }
-                                        let v = input.at(ic, sy - 1, sx - 1);
-                                        acc += v * weights[(oc * in_c + ic) * 9 + ky * 3 + kx];
-                                    }
+                // A whole output row at a time, so the inner loops
+                // vectorise; every pixel still sums bias, then its terms
+                // in (ic, ky, kx) order. Padded terms are skipped by
+                // clamping the ranges, never multiplied by zero: a
+                // faulted infinite weight times a padding zero is NaN.
+                let kernels = weights.chunks_exact(in_c * 9);
+                for ((out_ch, kernel), &b) in
+                    out.data.chunks_exact_mut(h * w).zip(kernels).zip(bias)
+                {
+                    for (y, acc) in out_ch.chunks_exact_mut(w).enumerate() {
+                        acc.fill(b);
+                        for (ic, k) in kernel.chunks_exact(9).enumerate() {
+                            // Source row y + ky - 1 must lie inside 0..h.
+                            for ky in usize::from(y == 0)..(h + 1 - y).min(3) {
+                                let src = &input.data[(ic * h + y + ky - 1) * w..][..w];
+                                let k = &k[ky * 3..ky * 3 + 3];
+                                // Source column x + kx - 1 must lie inside 0..w.
+                                for (a, &v) in acc[1..].iter_mut().zip(&src[..w - 1]) {
+                                    *a += v * k[0];
+                                }
+                                for (a, &v) in acc.iter_mut().zip(src) {
+                                    *a += v * k[1];
+                                }
+                                for (a, &v) in acc[..w - 1].iter_mut().zip(&src[1..]) {
+                                    *a += v * k[2];
                                 }
                             }
-                            *out.at_mut(oc, y, x) = acc.max(0.0); // ReLU
+                        }
+                        for a in acc.iter_mut() {
+                            *a = a.max(0.0); // ReLU
                         }
                     }
                 }
@@ -221,6 +245,78 @@ impl Layer {
             }
         }
     }
+
+    /// The pixel-at-a-time forward pass, with the padding test inside the
+    /// multiply-accumulate loop: the oracle the production kernel must
+    /// match bit for bit.
+    #[cfg(test)]
+    fn forward_reference(&self, input: &Tensor) -> Tensor {
+        let Layer::Conv3x3 {
+            in_c,
+            out_c,
+            weights,
+            bias,
+        } = self
+        else {
+            return self.forward(input);
+        };
+        let (h, w) = (input.h, input.w);
+        let mut out = Tensor::zeros(*out_c, h, w);
+        for oc in 0..*out_c {
+            for y in 0..h {
+                for x in 0..w {
+                    let mut acc = bias[oc];
+                    for ic in 0..*in_c {
+                        for ky in 0..3usize {
+                            for kx in 0..3usize {
+                                let sy = y + ky;
+                                let sx = x + kx;
+                                if sy == 0 || sx == 0 || sy > h || sx > w {
+                                    continue; // zero padding
+                                }
+                                let v = input.at(ic, sy - 1, sx - 1);
+                                acc += v * weights[(oc * in_c + ic) * 9 + ky * 3 + kx];
+                            }
+                        }
+                    }
+                    *out.at_mut(oc, y, x) = acc.max(0.0); // ReLU
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The fault-free activations of one inference at every layer boundary:
+/// entry `i` is the input of layer `i`, the last entry the network
+/// output.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GoldenTrace(Vec<Tensor>);
+
+impl GoldenTrace {
+    /// The fault-free network output.
+    pub fn output(&self) -> &Tensor {
+        self.0.last().expect("a trace holds at least the input")
+    }
+}
+
+/// How a resumed faulted inference ended.
+#[derive(Debug, Clone, PartialEq)]
+enum Resumed {
+    /// The activation entering layer `.0` (or, at the network depth, the
+    /// output) was bit-identical to the fault-free one.
+    Converged(usize),
+    /// The output differs from the fault-free one.
+    Diverged(Tensor),
+}
+
+/// Bit-for-bit equality: `-0.0 ≠ 0.0`, and a NaN equals only the same NaN.
+fn bit_identical(a: &Tensor, b: &Tensor) -> bool {
+    a.data.len() == b.data.len()
+        && a.data
+            .iter()
+            .zip(&b.data)
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// A sequential network with a fault-injectable forward pass.
@@ -251,10 +347,70 @@ impl Network {
         self.layers.iter().map(Layer::parameter_count).sum()
     }
 
-    /// Runs the forward pass. If a fault is given, it strikes before its
-    /// target layer: either a parameter of that layer (site inside the
-    /// layer's parameter span) or the current activation buffer.
-    pub fn forward(&self, input: Tensor, fault: Option<Fault>) -> Tensor {
+    /// Runs the fault-free inference of `input`, keeping the activation
+    /// at every layer boundary.
+    pub fn golden_trace(&self, input: Tensor) -> GoldenTrace {
+        let mut activations = Vec::with_capacity(self.layers.len() + 1);
+        activations.push(input);
+        for layer in &self.layers {
+            let next = layer.forward(activations.last().expect("starts with the input"));
+            activations.push(next);
+        }
+        GoldenTrace(activations)
+    }
+
+    /// Runs the inference whose fault-free run is `golden`. If a fault is
+    /// given, it strikes before its target layer: either a parameter of
+    /// that layer (site inside the layer's parameter span) or the layer's
+    /// input activation. Without a fault, or when the fault is masked,
+    /// the result borrows the traced output.
+    pub fn run<'t>(&self, golden: &'t GoldenTrace, fault: Option<Fault>) -> Cow<'t, Tensor> {
+        match fault.map(|f| self.resume(golden, f)) {
+            None | Some(Resumed::Converged(_)) => Cow::Borrowed(golden.output()),
+            Some(Resumed::Diverged(output)) => Cow::Owned(output),
+        }
+    }
+
+    /// Runs the faulted inference from the fault's layer only: the
+    /// traced input of that layer, with the one faulted parameter or
+    /// activation patched in, through the remaining layers until an
+    /// activation is bit-identical to the traced one. Stopping there is
+    /// exact, because every later layer and its input are then
+    /// bit-identical to the fault-free run.
+    fn resume(&self, golden: &GoldenTrace, fault: Fault) -> Resumed {
+        let start = fault.step(self.layers.len());
+        let layer = &self.layers[start];
+        let input = &golden.0[start];
+        let params = layer.parameter_count();
+        let site = fault.site % (params + input.len()).max(1);
+        let mut activation = if site < params {
+            let mut faulted = layer.clone();
+            faulted.flip_parameter(site, &fault);
+            faulted.forward(input)
+        } else {
+            let mut faulted = input.clone();
+            let a = &mut faulted.data[site - params];
+            *a = fault.apply_to_f64(*a);
+            layer.forward(&faulted)
+        };
+        for (i, layer) in self.layers.iter().enumerate().skip(start + 1) {
+            if bit_identical(&activation, &golden.0[i]) {
+                return Resumed::Converged(i);
+            }
+            activation = layer.forward(&activation);
+        }
+        if bit_identical(&activation, golden.output()) {
+            Resumed::Converged(self.layers.len())
+        } else {
+            Resumed::Diverged(activation)
+        }
+    }
+
+    /// The reference forward pass: every layer from the input, with the
+    /// pixel-at-a-time conv kernel. If a fault is given, it strikes
+    /// before its target layer, as in [`Network::run`].
+    #[cfg(test)]
+    pub(crate) fn forward(&self, input: Tensor, fault: Option<Fault>) -> Tensor {
         let mut layers = self.layers.clone();
         let total = layers.len();
         let mut activation = input;
@@ -270,7 +426,7 @@ impl Network {
                     activation.data[a] = f.apply_to_f64(activation.data[a]);
                 }
             }
-            activation = layer.forward(&activation);
+            activation = layer.forward_reference(&activation);
         }
         activation
     }
@@ -294,6 +450,9 @@ pub fn quantise(outputs: &[f64]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mnist::{Mnist, Precision};
+    use crate::workload::{RunOutcome, Workload};
+    use crate::yolo::Yolo;
 
     fn tiny_net() -> Network {
         Network::new(vec![
@@ -376,5 +535,189 @@ mod tests {
     #[should_panic(expected = "at least one layer")]
     fn empty_network_rejected() {
         let _ = Network::new(vec![]);
+    }
+
+    #[test]
+    fn conv_kernel_matches_the_reference_bit_for_bit() {
+        let mut rng = tn_rng::Rng::seed_from_u64(0xc0de);
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0, 0.0, 1e308];
+        for (h, w) in [(1, 1), (1, 5), (2, 2), (3, 7), (8, 8), (5, 1)] {
+            for in_c in [1, 3] {
+                let mut layer = Layer::conv(in_c, 2, rng.next_u64());
+                let mut input = Tensor::zeros(in_c, h, w);
+                for v in input.data.iter_mut() {
+                    *v = rng.gen_range(-1.0..1.0);
+                }
+                // Faulted weights (bit 62 makes them huge) and special
+                // inputs: padded terms must be skipped, not multiplied.
+                for _ in 0..3 {
+                    let site = rng.gen_range(0..layer.parameter_count());
+                    layer.flip_parameter(site, &Fault::new(0.0, 0, 62));
+                    let a = rng.gen_range(0..input.len());
+                    input.data[a] = specials[rng.gen_range(0..specials.len())];
+                }
+                if let Layer::Conv3x3 { weights, .. } = &mut layer {
+                    weights[0] = f64::INFINITY; // 0 × ∞ would be NaN
+                }
+                let fast = layer.forward(&input);
+                let reference = layer.forward_reference(&input);
+                assert!(bit_identical(&fast, &reference), "{in_c}x{h}x{w}");
+            }
+        }
+    }
+
+    #[test]
+    fn golden_trace_ends_at_the_reference_output() {
+        let net = tiny_net();
+        let trace = net.golden_trace(input());
+        assert_eq!(trace.0.len(), net.depth() + 1);
+        assert_eq!(trace.0[0], input());
+        assert!(bit_identical(trace.output(), &net.forward(input(), None)));
+        assert!(matches!(net.run(&trace, None), Cow::Borrowed(_)));
+    }
+
+    /// Draws 2,000 faults the way an injection campaign does and checks
+    /// that the checkpointed run equals the reference forward pass for
+    /// every one; the draws must reach every layer, both parameter and
+    /// activation sites, all 64 bits, and both ways a run can end.
+    fn differential(
+        workload: &dyn Workload,
+        network: &Network,
+        golden: &GoldenTrace,
+        reference: impl Fn(Option<Fault>) -> RunOutcome,
+        seed: u64,
+    ) {
+        let name = workload.name();
+        let depth = network.depth();
+        let mut rng = tn_rng::Rng::seed_from_u64(seed);
+        let mut sites = std::collections::BTreeSet::new();
+        let mut bits = [false; 64];
+        let (mut converged, mut diverged) = (0, 0);
+        for _ in 0..2_000 {
+            let fault = Fault::new(
+                rng.gen_range(0.0..1.0),
+                rng.gen_range(0..workload.state_words()),
+                rng.gen_range(0..64u8),
+            );
+            assert_eq!(
+                workload.run(Some(fault)),
+                reference(Some(fault)),
+                "{name} {fault:?}"
+            );
+            let layer = fault.step(depth);
+            let params = network.layers[layer].parameter_count();
+            let span = params + golden.0[layer].len();
+            sites.insert((layer, fault.site % span < params));
+            bits[fault.bit as usize] = true;
+            match network.resume(golden, fault) {
+                Resumed::Converged(_) => converged += 1,
+                Resumed::Diverged(_) => diverged += 1,
+            }
+        }
+        assert_eq!(workload.run(None), reference(None), "{name}");
+        for (layer, l) in network.layers.iter().enumerate() {
+            assert!(
+                sites.contains(&(layer, false)),
+                "{name}: no activation fault at layer {layer}"
+            );
+            if l.parameter_count() > 0 {
+                assert!(
+                    sites.contains(&(layer, true)),
+                    "{name}: no parameter fault at layer {layer}"
+                );
+            }
+        }
+        assert!(bits.iter().all(|&hit| hit), "{name}: not every bit drawn");
+        assert!(
+            converged > 0 && diverged > 0,
+            "{name}: {converged} converged, {diverged} diverged"
+        );
+    }
+
+    #[test]
+    fn checkpointed_yolo_matches_the_reference_forward_pass() {
+        let w = Yolo::new(2020 ^ 4);
+        differential(
+            &w,
+            w.network(),
+            w.golden_trace(),
+            |f| w.run_reference(f),
+            0xd1f,
+        );
+    }
+
+    fn mnist_differential(precision: Precision, batch: usize, seed: u64) {
+        let w = Mnist::new(batch, 2020 ^ 8).with_precision(precision);
+        let golden = &w.golden_traces()[0];
+        differential(&w, w.network(), golden, |f| w.run_reference(f), seed);
+    }
+
+    #[test]
+    fn checkpointed_mnist_matches_the_reference_forward_pass() {
+        mnist_differential(Precision::Double, 1, 0xd2f);
+    }
+
+    #[test]
+    fn checkpointed_single_precision_mnist_matches_the_reference_forward_pass() {
+        mnist_differential(Precision::Single, 1, 0xd3f);
+    }
+
+    #[test]
+    fn checkpointed_mnist_batch_matches_the_reference_forward_pass() {
+        // Images after the first keep their fault-free logits.
+        mnist_differential(Precision::Double, 3, 0xd4f);
+    }
+
+    #[test]
+    fn max_pool_masked_flip_stops_at_the_next_layer() {
+        let w = Yolo::new(2020 ^ 4);
+        let (net, golden) = (w.network(), w.golden_trace());
+        assert_eq!(net.layers[1], Layer::MaxPool2);
+        // A positive activation below the maximum of its 2×2 window:
+        // flipping its sign leaves the pooled value unchanged.
+        let a = &golden.0[1];
+        let site = (0..a.len())
+            .find(|&i| {
+                let (c, y, x) = (i / (a.h * a.w), i / a.w % a.h, i % a.w);
+                let max = [(0, 0), (0, 1), (1, 0), (1, 1)]
+                    .iter()
+                    .map(|&(dy, dx)| a.at(c, (y & !1) + dy, (x & !1) + dx))
+                    .fold(f64::NEG_INFINITY, f64::max);
+                a.data[i] > 0.0 && a.data[i] < max
+            })
+            .expect("some activation is not its window's maximum");
+        let fault = Fault::new(1.5 / net.depth() as f64, site, 63);
+        assert_eq!(fault.step(net.depth()), 1);
+        assert_eq!(net.resume(golden, fault), Resumed::Converged(2));
+        assert_eq!(w.run(Some(fault)), RunOutcome::Completed(w.golden()));
+        assert_eq!(
+            w.run_reference(Some(fault)),
+            RunOutcome::Completed(w.golden())
+        );
+    }
+
+    #[test]
+    fn nan_producing_exponent_flip_does_not_stop_early() {
+        // Activations in [1, 2) have the exponent 0x3ff: flipping bit 62
+        // sets it to 0x7ff with a non-zero mantissa, a NaN. Entering the
+        // linear head it poisons every output.
+        let net = Network::new(vec![Layer::MaxPool2, Layer::dense(16, 4, false, 11)]);
+        let mut image = input();
+        for v in image.data.iter_mut() {
+            *v += 1.0 + 1.0 / 64.0;
+        }
+        let golden = net.golden_trace(image.clone());
+        let fault = Fault::new(0.75, net.layers[1].parameter_count() + 5, 62);
+        assert_eq!(fault.step(net.depth()), 1);
+        assert!(fault.apply_to_f64(golden.0[1].data[5]).is_nan());
+        let Resumed::Diverged(out) = net.resume(&golden, fault) else {
+            panic!("a NaN activation must not count as re-converged");
+        };
+        assert!(out.data.iter().all(|v| v.is_nan()));
+        assert!(bit_identical(
+            &net.run(&golden, Some(fault)),
+            &net.forward(image, Some(fault))
+        ));
+        assert_ne!(quantise(&out.data), quantise(&golden.output().data));
     }
 }

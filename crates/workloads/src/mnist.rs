@@ -2,7 +2,9 @@
 //! small to exercise a GPU meaningfully, which is why they restricted it
 //! to the Zynq).
 
-use crate::cnn::{quantise, Layer, Network, Tensor};
+use std::sync::OnceLock;
+
+use crate::cnn::{quantise, GoldenTrace, Layer, Network, Tensor};
 use crate::workload::{Fault, RunOutcome, Workload, WorkloadClass};
 
 /// Arithmetic width of the inference (the paper's FPGA study ran the
@@ -21,6 +23,8 @@ pub struct Mnist {
     network: Network,
     images: Vec<Tensor>,
     precision: Precision,
+    /// Fault-free activations per image, computed on first use.
+    golden: OnceLock<Vec<GoldenTrace>>,
 }
 
 impl Mnist {
@@ -45,6 +49,7 @@ impl Mnist {
             network,
             images,
             precision: Precision::Double,
+            golden: OnceLock::new(),
         }
     }
 
@@ -62,6 +67,46 @@ impl Mnist {
     /// The underlying network.
     pub fn network(&self) -> &Network {
         &self.network
+    }
+
+    pub(crate) fn golden_traces(&self) -> &[GoldenTrace] {
+        self.golden.get_or_init(|| {
+            self.images
+                .iter()
+                .map(|image| self.network.golden_trace(image.clone()))
+                .collect()
+        })
+    }
+
+    /// Appends one image's output signature: argmax plus quantised
+    /// logits, after rounding through the datapath's width.
+    fn push_signature(&self, logits: &Tensor, outputs: &mut Vec<u64>) {
+        let mut logits = logits.data.clone();
+        if self.precision == Precision::Single {
+            // Emulate an f32 datapath: round every output through f32.
+            for v in logits.iter_mut() {
+                *v = *v as f32 as f64;
+            }
+        }
+        let argmax = logits
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(idx, _)| idx as u64)
+            .unwrap_or(u64::MAX);
+        outputs.push(argmax);
+        outputs.extend(quantise(&logits));
+    }
+
+    /// [`Workload::run`] through the reference forward pass.
+    #[cfg(test)]
+    pub(crate) fn run_reference(&self, fault: Option<Fault>) -> RunOutcome {
+        let mut outputs = Vec::new();
+        for (i, image) in self.images.iter().enumerate() {
+            let f = if i == 0 { fault } else { None };
+            self.push_signature(&self.network.forward(image.clone(), f), &mut outputs);
+        }
+        RunOutcome::Completed(outputs)
     }
 }
 
@@ -105,26 +150,11 @@ impl Workload for Mnist {
     fn run(&self, fault: Option<Fault>) -> RunOutcome {
         let mut outputs = Vec::new();
         // The fault strikes during the first image's inference (a beam hit
-        // is instantaneous relative to a batch).
-        for (i, image) in self.images.iter().enumerate() {
+        // is instantaneous relative to a batch); the other images keep
+        // their fault-free logits.
+        for (i, golden) in self.golden_traces().iter().enumerate() {
             let f = if i == 0 { fault } else { None };
-            let mut logits = self.network.forward(image.clone(), f);
-            if self.precision == Precision::Single {
-                // Emulate an f32 datapath: round every output through f32.
-                for v in logits.data.iter_mut() {
-                    *v = *v as f32 as f64;
-                }
-            }
-            // Output signature: argmax plus quantised logits.
-            let argmax = logits
-                .data
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(idx, _)| idx as u64)
-                .unwrap_or(u64::MAX);
-            outputs.push(argmax);
-            outputs.extend(quantise(&logits.data));
+            self.push_signature(&self.network.run(golden, f), &mut outputs);
         }
         RunOutcome::Completed(outputs)
     }

@@ -75,6 +75,12 @@ impl Fault {
     pub fn apply_to_index(&self, idx: usize) -> usize {
         idx ^ (1usize << (self.bit as usize % usize::BITS as usize))
     }
+
+    /// The step of a `total_steps`-step run at whose boundary this fault
+    /// lands (its progress point, clamped to the last step).
+    pub fn step(&self, total_steps: usize) -> usize {
+        ((self.progress * total_steps as f64) as usize).min(total_steps - 1)
+    }
 }
 
 /// Result of one (possibly faulted) run.
@@ -153,9 +159,7 @@ impl<W: Workload + ?Sized> Workload for &W {
 /// Helper: should the fault fire before step `step` of `total_steps`?
 /// Returns the fault if it lands exactly on this step boundary.
 pub fn fault_due_at(fault: Option<Fault>, step: usize, total_steps: usize) -> Option<Fault> {
-    let f = fault?;
-    let target = ((f.progress * total_steps as f64) as usize).min(total_steps - 1);
-    (target == step).then_some(f)
+    fault.filter(|f| f.step(total_steps) == step)
 }
 
 #[cfg(test)]

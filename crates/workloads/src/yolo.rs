@@ -3,7 +3,9 @@
 //! backbone over a synthetic road scene and a grid-cell detection head
 //! emitting box coordinates, objectness and class scores.
 
-use crate::cnn::{quantise, Layer, Network, Tensor};
+use std::sync::OnceLock;
+
+use crate::cnn::{quantise, GoldenTrace, Layer, Network, Tensor};
 use crate::workload::{Fault, RunOutcome, Workload, WorkloadClass};
 
 /// Detection grid side (S×S cells).
@@ -16,6 +18,8 @@ const PER_CELL: usize = 8;
 pub struct Yolo {
     network: Network,
     scene: Tensor,
+    /// Fault-free activations over the scene, computed on first use.
+    golden: OnceLock<GoldenTrace>,
 }
 
 impl Yolo {
@@ -36,12 +40,40 @@ impl Yolo {
         Self {
             network,
             scene: synthetic_scene(seed),
+            golden: OnceLock::new(),
         }
     }
 
     /// The underlying network.
     pub fn network(&self) -> &Network {
         &self.network
+    }
+
+    pub(crate) fn golden_trace(&self) -> &GoldenTrace {
+        self.golden
+            .get_or_init(|| self.network.golden_trace(self.scene.clone()))
+    }
+
+    /// A detection pipeline compares *detections*, not raw floats: the
+    /// signature is the quantised decoded boxes (plus the full head at
+    /// coarse quantisation to catch class-score corruption).
+    fn signature(head: &[f64]) -> Vec<u64> {
+        let detections = Self::decode(head);
+        let mut signature = Vec::new();
+        signature.push(detections.len() as u64);
+        for (cell, x, y, w, h) in detections {
+            signature.push(cell as u64);
+            signature.extend(quantise(&[x, y, w, h]));
+        }
+        signature.extend(quantise(head));
+        signature
+    }
+
+    /// [`Workload::run`] through the reference forward pass.
+    #[cfg(test)]
+    pub(crate) fn run_reference(&self, fault: Option<Fault>) -> RunOutcome {
+        let head = self.network.forward(self.scene.clone(), fault);
+        RunOutcome::Completed(Self::signature(&head.data))
     }
 
     /// Decodes a raw head output into per-cell detections
@@ -103,19 +135,8 @@ impl Workload for Yolo {
     }
 
     fn run(&self, fault: Option<Fault>) -> RunOutcome {
-        let head = self.network.forward(self.scene.clone(), fault);
-        // A detection pipeline compares *detections*, not raw floats: the
-        // signature is the quantised decoded boxes (plus the full head at
-        // coarse quantisation to catch class-score corruption).
-        let detections = Self::decode(&head.data);
-        let mut signature = Vec::new();
-        signature.push(detections.len() as u64);
-        for (cell, x, y, w, h) in detections {
-            signature.push(cell as u64);
-            signature.extend(quantise(&[x, y, w, h]));
-        }
-        signature.extend(quantise(&head.data));
-        RunOutcome::Completed(signature)
+        let head = self.network.run(self.golden_trace(), fault);
+        RunOutcome::Completed(Self::signature(&head.data))
     }
 }
 

@@ -205,3 +205,11 @@ for name in normal rainstorm-at-leadville loss-of-moderation detector-channel-dr
 done
 rm -rf "$scenario_dir"
 echo "tn-scenario gate OK"
+
+# ---- benchmark smoke -------------------------------------------------------
+# A short untraced run of the benchmark's study workload (paper pipeline,
+# Figure 5 and FIT tables, built-in scenarios over the fixed seed set).
+# The benchmark exits non-zero when a build fails or an output check does
+# not hold, e.g. when the study's digests stop repeating.
+CARGO_TARGET_DIR=target python3 perfbench/run.py --workload study --seed 1 --seconds 3 --trace 0 >/dev/null
+echo "benchmark study smoke OK"
