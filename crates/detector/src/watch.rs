@@ -8,9 +8,10 @@
 //! series (`bare − shielded`) through a [`Monitor`] must raise exactly
 //! one `step_up` alert whose magnitude matches the derived boost.
 //!
-//! The monitor's confidence intervals use the exact Garwood bounds from
-//! `tn-physics` ([`garwood_interval`]), not the std-only normal
-//! approximation the obs core defaults to.
+//! The monitor's confidence intervals are Garwood's chi-square bounds
+//! from `tn-physics` ([`garwood_interval`]), computed to 1e-12 relative
+//! for counts up to 10⁶, not the std-only normal approximation the obs
+//! core defaults to.
 
 use crate::tinii::WaterBoxExperiment;
 use tn_environment::{Environment, Location, Surroundings, Weather};
@@ -20,8 +21,9 @@ use tn_physics::stats::PoissonInterval;
 /// Nanoseconds per hourly counting bin.
 const HOUR_NANOS: u64 = 3_600_000_000_000;
 
-/// Exact Garwood confidence interval on a Poisson mean count, in the
-/// shape the obs timeline core injects ([`tn_obs::timeline::IntervalFn`]).
+/// Garwood confidence interval on a Poisson mean count (1e-12 relative
+/// up to 10⁶ counts), in the shape the obs timeline core injects
+/// ([`tn_obs::timeline::IntervalFn`]).
 pub fn garwood_interval(count: u64, confidence: f64) -> (f64, f64) {
     let interval = PoissonInterval::exact(count, confidence);
     (interval.lower, interval.upper)

@@ -90,10 +90,32 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
+/// Shape parameter from which [`reg_lower_gamma`] integrates the density
+/// by quadrature instead of summing the series or continued fraction.
+const QUADRATURE_MIN_A: f64 = 100.0;
+
+/// Positive Gauss–Legendre nodes and weights of the 18-point rule on
+/// `[-1, 1]`; the rule is symmetric, so each pair stands for `±node`.
+#[allow(clippy::excessive_precision)]
+const GAUSS_LEGENDRE_18: [(f64, f64); 9] = [
+    (0.084_775_013_041_735_301_242, 0.169_142_382_963_143_591_84),
+    (0.251_886_225_691_505_509_59, 0.164_276_483_745_832_722_99),
+    (0.411_751_161_462_842_646_04, 0.154_684_675_126_265_244_93),
+    (0.559_770_831_073_947_534_61, 0.140_642_914_670_650_651_20),
+    (0.691_687_043_060_353_207_87, 0.122_555_206_711_478_460_18),
+    (0.803_704_958_972_523_115_68, 0.100_942_044_106_287_165_56),
+    (0.892_602_466_497_555_739_21, 0.076_425_730_254_889_056_529),
+    (0.955_823_949_571_397_755_18, 0.049_714_548_894_969_796_453),
+    (0.991_565_168_420_930_946_73, 0.021_616_013_526_483_310_313),
+];
+
 /// Regularized lower incomplete gamma function P(a, x) = γ(a,x)/Γ(a).
 ///
-/// Series expansion for `x < a + 1`, continued fraction otherwise
-/// (Numerical Recipes style).
+/// For `a < 100`: series expansion for `x < a + 1`, continued fraction
+/// otherwise (Numerical Recipes style). For `a ≥ 100`: 18-point
+/// Gauss–Legendre quadrature of the density over the tail `x` lies in
+/// (after Numerical Recipes 3e `gammpapprox`), whose cost does not grow
+/// with `a` as the series' and continued fraction's do.
 ///
 /// # Panics
 ///
@@ -101,8 +123,18 @@ pub fn ln_gamma(x: f64) -> f64 {
 pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "reg_lower_gamma requires a > 0");
     assert!(x >= 0.0, "reg_lower_gamma requires x >= 0");
+    reg_gamma_pq(a, x).0
+}
+
+/// `(P(a,x), Q(a,x))` with the smaller tail computed directly and the
+/// other as its complement, so a far-tail probability keeps its full
+/// relative precision.
+fn reg_gamma_pq(a: f64, x: f64) -> (f64, f64) {
     if x == 0.0 {
-        return 0.0;
+        return (0.0, 1.0);
+    }
+    if a >= QUADRATURE_MIN_A {
+        return gamma_quadrature(a, x);
     }
     let lg = ln_gamma(a);
     if x < a + 1.0 {
@@ -118,9 +150,10 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
                 break;
             }
         }
-        sum * (a * x.ln() - x - lg).exp()
+        let p = sum * (a * x.ln() - x - lg).exp();
+        (p, 1.0 - p)
     } else {
-        // Continued fraction for Q(a,x); P = 1 - Q.
+        // Continued fraction for Q(a,x).
         let tiny = 1e-300;
         let mut b = x + 1.0 - a;
         let mut c = 1.0 / tiny;
@@ -145,12 +178,101 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
             }
         }
         let q = (a * x.ln() - x - lg).exp() * h;
-        1.0 - q
+        (1.0 - q, q)
     }
 }
 
-/// Quantile of the chi-square distribution with `k` degrees of freedom,
-/// solved by bisection on the regularized incomplete gamma CDF.
+/// `(P, Q)` for `a ≥ 100` by Gauss–Legendre quadrature of the density
+/// from `x` to a point far enough into its own tail (11.5σ past the mode
+/// on the right, 7.5σ on the left, or 6σ / 5σ past `x` if that is
+/// further) that the neglected mass is below double precision.
+///
+/// The range is split into two 18-point panels: one panel over the whole
+/// range, as in Numerical Recipes, leaves errors up to ~1e-9 in P when
+/// `x` is within a σ of the mode.
+fn gamma_quadrature(a: f64, x: f64) -> (f64, f64) {
+    let density = LargeShapeDensity::new(a);
+    let mode = a - 1.0;
+    let sigma = mode.sqrt();
+    let upper_tail = x > mode;
+    let end = if upper_tail {
+        (mode + 11.5 * sigma).max(x + 6.0 * sigma)
+    } else {
+        (mode - 7.5 * sigma).min(x - 5.0 * sigma).max(0.0)
+    };
+    // Each panel is mid ± half·node; the two panels share the range's midpoint.
+    let half = 0.25 * (end - x);
+    let mut sum = 0.0;
+    for mid in [x + half, end - half] {
+        for &(node, weight) in &GAUSS_LEGENDRE_18 {
+            sum += weight * (density.at(mid - half * node) + density.at(mid + half * node));
+        }
+    }
+    let tail = (sum * half).abs();
+    if upper_tail {
+        (1.0 - tail, tail)
+    } else {
+        (tail, 1.0 - tail)
+    }
+}
+
+/// The Gamma(a, 1) density for large `a`, written about its mode
+/// `m = a − 1` so that no large logarithms cancel:
+/// `x^m e^-x / Γ(a) = exp(m·ln(1 + d/m) − d) / (√(2πm)·e^c(m))` with
+/// `d = x − m` and `c` the Stirling-series remainder of `ln Γ(m + 1)`.
+struct LargeShapeDensity {
+    mode: f64,
+    ln_norm: f64,
+}
+
+impl LargeShapeDensity {
+    fn new(a: f64) -> Self {
+        let m = a - 1.0;
+        let m2 = m * m;
+        let stirling =
+            (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * m2)) / m2) / m2) / m;
+        Self {
+            mode: m,
+            ln_norm: -0.5 * (2.0 * std::f64::consts::PI * m).ln() - stirling,
+        }
+    }
+
+    fn at(&self, x: f64) -> f64 {
+        let d = x - self.mode;
+        (self.mode * (d / self.mode).ln_1p() - d + self.ln_norm).exp()
+    }
+}
+
+/// The Gamma(a, 1) density at `x > 0`, the derivative of P(a, x).
+fn gamma_density(a: f64, x: f64) -> f64 {
+    if a >= QUADRATURE_MIN_A {
+        LargeShapeDensity::new(a).at(x)
+    } else {
+        ((a - 1.0) * x.ln() - x - ln_gamma(a)).exp()
+    }
+}
+
+/// Standard-normal quantile to about 4.5e-4 (Abramowitz & Stegun
+/// 26.2.23) — only a starting point for [`chi_square_quantile`].
+fn rough_normal_quantile(p: f64) -> f64 {
+    let tail = p.min(1.0 - p);
+    let t = (-2.0 * tail.ln()).sqrt();
+    let z = t
+        - (2.515_517 + t * (0.802_853 + t * 0.010_328))
+            / (1.0 + t * (1.432_788 + t * (0.189_269 + t * 0.001_308)));
+    if p < 0.5 {
+        -z
+    } else {
+        z
+    }
+}
+
+/// Quantile of the chi-square distribution with `k` degrees of freedom.
+///
+/// Solves P(k/2, x/2) = p by Halley's method from a Wilson–Hilferty
+/// start, stopping once a step is below 1e-13 of `x`. Above the median
+/// it solves Q(k/2, x/2) = 1 − p instead, so upper quantiles are not
+/// limited by the spacing of doubles near 1.
 ///
 /// # Panics
 ///
@@ -158,24 +280,34 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
 pub fn chi_square_quantile(p: f64, k: f64) -> f64 {
     assert!(k > 0.0, "degrees of freedom must be positive");
     assert!(p > 0.0 && p < 1.0, "p must be in (0,1), got {p}");
-    let cdf = |x: f64| reg_lower_gamma(k / 2.0, x / 2.0);
-    let (mut lo, mut hi) = (0.0, k.max(1.0));
-    while cdf(hi) < p {
-        hi *= 2.0;
-        assert!(hi < 1e12, "chi-square quantile bracket failed");
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if cdf(mid) < p {
-            lo = mid;
+    let a = 0.5 * k;
+    let upper = p > 0.5;
+    // Wilson–Hilferty: (X/a)^(1/3) is nearly normal with mean 1 − 1/(9a)
+    // and variance 1/(9a). It fails in the lower tail of small `a`, where
+    // the root of P(a,x) ≤ x^a/Γ(a+1), a lower bound on the quantile,
+    // takes over.
+    let wh = 1.0 - 1.0 / (9.0 * a) + rough_normal_quantile(p) / (3.0 * a.sqrt());
+    let floor = ((p.ln() + ln_gamma(a + 1.0)) / a).exp();
+    let mut x = (a * wh.max(0.0).powi(3)).max(floor);
+    for _ in 0..100 {
+        let (lower_tail, upper_tail) = reg_gamma_pq(a, x);
+        let err = if upper {
+            (1.0 - p) - upper_tail
         } else {
-            hi = mid;
-        }
-        if hi - lo < 1e-12 * hi.max(1.0) {
+            lower_tail - p
+        };
+        // Halley on the CDF, whose second derivative over its first is the
+        // density's log-derivative (a − 1)/x − 1. The correction is capped
+        // so a step is at most twice Newton's; where a step would not
+        // keep x > 0, x is halved instead.
+        let u = err / gamma_density(a, x);
+        let step = u / (1.0 - 0.5 * (u * ((a - 1.0) / x - 1.0)).min(1.0));
+        x = if step < x { x - step } else { 0.5 * x };
+        if step.abs() < 1e-13 * x {
             break;
         }
     }
-    0.5 * (lo + hi)
+    2.0 * x
 }
 
 /// An exact (Garwood) Poisson confidence interval on a mean count.
@@ -362,6 +494,46 @@ mod tests {
         // P(1, x) = 1 - e^-x.
         let x = 1.7;
         assert!((reg_lower_gamma(1.0, x) - (1.0 - (-x).exp())).abs() < 1e-12);
+    }
+
+    #[test]
+    fn gauss_legendre_rule_is_exact_to_degree_35() {
+        // ∫₋₁¹ x^n dx = 2/(n+1) for even n; the 18-point rule must hit it
+        // for every even degree it is exact for.
+        for n in (0..=34).step_by(2) {
+            let quad: f64 = GAUSS_LEGENDRE_18
+                .iter()
+                .map(|&(node, weight)| 2.0 * weight * node.powi(n))
+                .sum();
+            let exact = 2.0 / f64::from(n + 1);
+            assert!(
+                (quad - exact).abs() < 1e-15,
+                "degree {n}: {quad} vs {exact}"
+            );
+        }
+    }
+
+    #[test]
+    fn quantiles_reach_the_far_tails_of_small_and_large_shapes() {
+        // χ²₂ has P = 1 − e^(−x/2), so both tails have closed forms.
+        for p in [1e-12, 1e-6, 0.3, 0.7, 1.0 - 1e-6] {
+            let q = chi_square_quantile(p, 2.0);
+            let exact = -2.0 * (-p).ln_1p();
+            assert!(
+                ((q - exact) / exact).abs() < 1e-13,
+                "p = {p}: {q} vs {exact}"
+            );
+        }
+        for k in [0.5, 1.0, 250.0, 2e6] {
+            for p in [1e-9, 0.5, 1.0 - 1e-9] {
+                let q = chi_square_quantile(p, k);
+                let back = reg_lower_gamma(k / 2.0, q / 2.0);
+                assert!(
+                    q > 0.0 && (back - p).abs() < 1e-12,
+                    "k = {k}, p = {p}: {back}"
+                );
+            }
+        }
     }
 
     #[test]

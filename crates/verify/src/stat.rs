@@ -4,6 +4,8 @@
 //! PDFs, plus Poisson counting-coverage checks for the Tin-II detector and
 //! the beamline cross-section estimator. Every check runs on a fixed seed,
 //! so the statistic — and therefore the verdict — is fully deterministic.
+//! One check uses no draws at all: `garwood_reference` holds the Garwood
+//! intervals and chi-square quantiles to published table values.
 //!
 //! ## Method
 //!
@@ -340,6 +342,48 @@ pub fn beamline_coverage_check(rng: &mut Rng, trials: usize) -> CheckResult {
     )
 }
 
+/// Published 95 % Garwood limits `(k, lower, upper)`, as tables print
+/// them to four decimals.
+const GARWOOD_95_TABLE: [(u64, f64, f64); 3] =
+    [(0, 0.0, 3.6889), (1, 0.0253, 5.5716), (10, 4.7954, 18.3904)];
+
+/// Published chi-square quantiles `(p, dof, quantile, printed decimals)`.
+const CHI_SQUARE_TABLE: [(f64, f64, f64, i32); 3] = [
+    (0.95, 1.0, 3.8415, 4),
+    (0.95, 10.0, 18.3070, 4),
+    (0.99, 100.0, 135.807, 3),
+];
+
+/// The counting statistics against numbers this code did not produce:
+/// Garwood intervals and chi-square quantiles from published tables.
+/// The statistic is the worst miss in units of half the table's last
+/// printed digit, so it passes (≤ 1) when every computed value rounds to
+/// the printed one.
+fn garwood_reference_check() -> CheckResult {
+    let miss = |got: f64, printed: f64, decimals: i32| {
+        (got - printed).abs() / (0.5 * 10f64.powi(-decimals))
+    };
+    let mut worst = 0.0f64;
+    for (k, lower, upper) in GARWOOD_95_TABLE {
+        let ci = PoissonInterval::ninety_five(k);
+        worst = worst
+            .max(miss(ci.lower, lower, 4))
+            .max(miss(ci.upper, upper, 4));
+    }
+    for (p, dof, quantile, decimals) in CHI_SQUARE_TABLE {
+        worst = worst.max(miss(chi_square_quantile(p, dof), quantile, decimals));
+    }
+    CheckResult::from_statistic(
+        "stat",
+        "garwood_reference",
+        worst,
+        1.0,
+        (2 * GARWOOD_95_TABLE.len() + CHI_SQUARE_TABLE.len()) as u64,
+        "95% Garwood limits for k in {0, 1, 10} and chi-square quantiles vs published tables, \
+         in half units of the last printed digit",
+    )
+}
+
 /// Runs the whole statistical suite on forked substreams of `seed`.
 pub fn run_suite(seed: u64, config: StatConfig) -> Vec<CheckResult> {
     let base = Rng::seed_from_u64(seed);
@@ -411,6 +455,7 @@ pub fn run_suite(seed: u64, config: StatConfig) -> Vec<CheckResult> {
     checks.push(poisson_coverage_check(&mut base.fork(6), config.trials));
     checks.push(tinii_coverage_check(&mut base.fork(7), config.trials));
     checks.push(beamline_coverage_check(&mut base.fork(8), config.trials));
+    checks.push(garwood_reference_check());
     checks
 }
 
@@ -431,6 +476,13 @@ mod tests {
         }
         assert_eq!(cdf.eval(0.0), 0.0);
         assert_eq!(cdf.eval(100.0), 1.0);
+    }
+
+    #[test]
+    fn garwood_reference_values_round_to_the_tables() {
+        let check = garwood_reference_check();
+        assert!(check.passed, "{check:?}");
+        assert_eq!(check.cases, 9);
     }
 
     #[test]
@@ -519,6 +571,6 @@ mod tests {
         for c in &a {
             assert!(c.passed, "{c:?}");
         }
-        assert_eq!(a.len(), 8);
+        assert_eq!(a.len(), 9);
     }
 }
