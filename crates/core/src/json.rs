@@ -19,27 +19,41 @@
 //! written as `null`; the parser consequently never produces a NaN or
 //! infinity, which keeps round-trips total.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// Appends a JSON string literal (with escaping) to `out`.
+#[cfg(test)]
+#[path = "json_oracle.rs"]
+mod oracle;
+
+/// Appends a JSON string literal (with escaping) to `out`. Runs of bytes
+/// that need no escape are copied in one step; every escaped byte is
+/// ASCII, so the run boundaries are always `char` boundaries.
 pub fn push_json_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape.len() > 2 {
+            // `\u00` takes the byte's two hex digits.
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -48,7 +62,7 @@ pub fn push_json_str(out: &mut String, s: &str) {
 /// JSON encoding and are emitted as `null`.
 pub fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v:e}"));
+        write!(out, "{v:e}").expect("writing to a String cannot fail");
     } else {
         out.push_str("null");
     }
@@ -61,7 +75,7 @@ pub fn push_json_num(out: &mut String, v: f64) {
     // 2^53: above this, f64 no longer represents every integer, so the
     // integer rendering would suggest more precision than the value has.
     if v.is_finite() && v == v.trunc() && v.abs() <= 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", v as i64));
+        write!(out, "{}", v as i64).expect("writing to a String cannot fail");
     } else {
         push_json_f64(out, v);
     }
@@ -186,12 +200,20 @@ impl Json {
             Json::Object(members) => {
                 out.push('{');
                 if canonical {
-                    let sorted: BTreeMap<&str, &Json> =
-                        members.iter().map(|(k, v)| (k.as_str(), v)).collect();
+                    // Sorted member references; a stable sort keeps
+                    // duplicate keys in document order, and the last of
+                    // each run wins (what a map insert would keep).
+                    let mut sorted: Vec<&(String, Json)> = members.iter().collect();
+                    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                    let mut first = true;
                     for (i, (k, v)) in sorted.iter().enumerate() {
-                        if i > 0 {
+                        if sorted.get(i + 1).is_some_and(|next| next.0 == *k) {
+                            continue;
+                        }
+                        if !first {
                             out.push(',');
                         }
+                        first = false;
                         push_json_str(out, k);
                         out.push(':');
                         v.write(out, canonical);
@@ -247,6 +269,7 @@ const MAX_DEPTH: usize = 64;
 /// Parses a complete JSON document (one value plus optional whitespace).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -260,6 +283,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -368,10 +392,18 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Decodes a string literal. Each run of plain bytes up to the next
+    /// `"`, `\` or control byte is appended in one step: the stop bytes
+    /// are ASCII, so every run ends on a `char` boundary of the input.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -382,20 +414,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.error("raw control character in string"));
-                }
-                Some(_) => {
-                    // Advance one full UTF-8 scalar (the input is &str,
-                    // so boundaries are guaranteed valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| {
-                        self.error("invalid UTF-8 in string")
-                    })?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.error("raw control character in string")),
             }
         }
     }
@@ -483,8 +502,7 @@ impl<'a> Parser<'a> {
             }
             self.digits()?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text = &self.text[start..self.pos];
         let v: f64 = text
             .parse()
             .map_err(|_| self.error(format!("unparseable number `{text}`")))?;
@@ -730,5 +748,397 @@ mod tests {
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(doc.get("missing"), None);
         assert_eq!(Json::Null.get("x"), None);
+    }
+
+    /// The largest request body the server accepts (`tn_server`'s
+    /// `MAX_BODY_BYTES`): the longest document a client can make the
+    /// service parse.
+    const MAX_BODY_BYTES: usize = 1024 * 1024;
+
+    /// A generous wall-clock bound for one pass over a maximal body. A
+    /// linear pass takes milliseconds even unoptimised; the quadratic
+    /// string scan took ~25 s on one maximal string.
+    const LINEAR_BOUND: std::time::Duration = std::time::Duration::from_secs(1);
+
+    #[test]
+    fn maximal_documents_parse_and_canonicalise_in_linear_time() {
+        // One string filling the whole body (with multi-byte characters),
+        // and 10⁵ short strings.
+        let fill = "plain ascii, é, €, \u{1f600} ".repeat(MAX_BODY_BYTES / 40);
+        let one = format!("\"{fill}\"");
+        let many = format!("[{}]", vec!["\"ab\""; 100_000].join(","));
+        for (name, text) in [("one string", &one), ("10^5 strings", &many)] {
+            assert!(text.len() <= MAX_BODY_BYTES, "{name}: {} bytes", text.len());
+            let started = std::time::Instant::now();
+            let doc = parse(text).expect("valid document");
+            let canonical = doc.to_canonical_string();
+            let elapsed = started.elapsed();
+            assert_eq!(&canonical, text, "{name}: already canonical");
+            assert!(elapsed < LINEAR_BOUND, "{name}: {elapsed:?}");
+        }
+        assert_eq!(parse(&one).unwrap().as_str(), Some(fill.as_str()));
+    }
+
+    /// Numbers the writer and parser must treat exactly: signed zero,
+    /// the edges of the exact-integer range (±2⁵³, and ±(2⁵³+2), the
+    /// first even integers past it), subnormals and the top of the
+    /// finite range.
+    const SPECIAL_NUMBERS: [f64; 16] = [
+        0.0,
+        -0.0,
+        9_007_199_254_740_992.0,
+        -9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        -9_007_199_254_740_994.0,
+        9_007_199_254_740_991.0,
+        5e-324,
+        -5e-324,
+        1.0e-310,
+        2.225_073_858_507_201e-308,
+        1.7e308,
+        -1.7e308,
+        f64::MAX,
+        0.1,
+        -17.25,
+    ];
+
+    /// Random JSON trees and textual spellings of them, from one tn-rng
+    /// stream.
+    struct DocGen {
+        rng: tn_rng::Rng,
+    }
+
+    impl DocGen {
+        fn pick<'t, T>(&mut self, items: &'t [T]) -> &'t T {
+            &items[self.rng.gen_range(0..items.len())]
+        }
+
+        fn char(&mut self) -> char {
+            match self.rng.gen_range(0..8u32) {
+                0 => char::from(self.rng.gen_range(0..0x20u8)),
+                1 => *self.pick(&['"', '\\', '/', '\u{7f}']),
+                2 => *self.pick(&[
+                    'é',
+                    'ß',
+                    '€',
+                    '\u{2028}',
+                    '\u{ffff}',
+                    '\u{1f600}',
+                    '\u{10ffff}',
+                ]),
+                _ => char::from(self.rng.gen_range(0x20..0x7fu8)),
+            }
+        }
+
+        fn string(&mut self) -> String {
+            let len = self.rng.gen_range(0..12usize);
+            (0..len).map(|_| self.char()).collect()
+        }
+
+        fn number(&mut self) -> f64 {
+            match self.rng.gen_range(0..4u32) {
+                0 => *self.pick(&SPECIAL_NUMBERS),
+                1 => self.rng.gen_range(-1_000_000..1_000_000i64) as f64,
+                2 => (self.rng.gen_f64() - 0.5) * 10f64.powi(self.rng.gen_range(-30..30i32)),
+                _ => loop {
+                    let v = f64::from_bits(self.rng.next_u64());
+                    if v.is_finite() {
+                        break v;
+                    }
+                },
+            }
+        }
+
+        fn value(&mut self, depth: usize) -> Json {
+            let kinds = if depth >= 4 { 4 } else { 6 };
+            match self.rng.gen_range(0..kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(self.rng.gen_bool(0.5)),
+                2 => Json::Num(self.number()),
+                3 => Json::Str(self.string()),
+                4 => {
+                    let len = self.rng.gen_range(0..5usize);
+                    Json::Array((0..len).map(|_| self.value(depth + 1)).collect())
+                }
+                _ => {
+                    // Keys from a small pool, so duplicates are common.
+                    let len = self.rng.gen_range(0..7usize);
+                    let members = (0..len)
+                        .map(|_| {
+                            let key = if self.rng.gen_bool(0.7) {
+                                (*self.pick(&["a", "b", "id", "é", "\u{1}", ""])).to_string()
+                            } else {
+                                self.string()
+                            };
+                            (key, self.value(depth + 1))
+                        })
+                        .collect();
+                    Json::Object(members)
+                }
+            }
+        }
+
+        fn ws(&mut self, out: &mut String) {
+            while self.rng.gen_bool(0.2) {
+                out.push(*self.pick(&[' ', '\t', '\n', '\r']));
+            }
+        }
+
+        /// A JSON spelling of `c` inside a string literal: raw where
+        /// allowed, otherwise (or at random) escaped — short escapes,
+        /// `\u` in either hex case, surrogate pairs for astral chars.
+        fn spell_char(&mut self, c: char, out: &mut String) {
+            let must_escape = c == '"' || c == '\\' || (c as u32) < 0x20;
+            if !must_escape && self.rng.gen_bool(0.7) {
+                out.push(c);
+                return;
+            }
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                _ => None,
+            };
+            if let Some(esc) = short.filter(|_| self.rng.gen_bool(0.5)) {
+                out.push_str(esc);
+                return;
+            }
+            let mut units = [0u16; 2];
+            for unit in c.encode_utf16(&mut units) {
+                if self.rng.gen_bool(0.5) {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                } else {
+                    out.push_str(&format!("\\u{unit:04X}"));
+                }
+            }
+        }
+
+        fn spell_number(&mut self, v: f64, out: &mut String) {
+            let text = match self.rng.gen_range(0..4u32) {
+                0 => format!("{v:e}"),
+                1 => format!("{v:E}"),
+                2 => format!("{v:?}"),
+                _ => format!("{v}"),
+            };
+            out.push_str(&text);
+        }
+
+        fn spell(&mut self, doc: &Json, out: &mut String) {
+            self.ws(out);
+            match doc {
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Num(v) => self.spell_number(*v, out),
+                Json::Str(s) => self.spell_str(s, out),
+                Json::Array(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        self.spell(item, out);
+                    }
+                    self.ws(out);
+                    out.push(']');
+                }
+                Json::Object(members) => {
+                    out.push('{');
+                    for (i, (k, v)) in members.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        self.ws(out);
+                        self.spell_str(k, out);
+                        self.ws(out);
+                        out.push(':');
+                        self.spell(v, out);
+                    }
+                    self.ws(out);
+                    out.push('}');
+                }
+            }
+            self.ws(out);
+        }
+
+        fn spell_str(&mut self, s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                self.spell_char(c, out);
+            }
+            out.push('"');
+        }
+
+        /// Damages a document: truncates it or splices in a fragment
+        /// that is invalid somewhere (raw control bytes, bad or
+        /// unpaired escapes, stray structure), at a random char boundary.
+        fn damage(&mut self, text: &str) -> String {
+            let bounds: Vec<usize> = (0..=text.len())
+                .filter(|&i| text.is_char_boundary(i))
+                .collect();
+            let at = *self.pick(&bounds);
+            if self.rng.gen_bool(0.25) {
+                return text[..at].to_string();
+            }
+            let fragment = if self.rng.gen_bool(0.3) {
+                char::from(self.rng.gen_range(0..0x20u8)).to_string()
+            } else {
+                (*self.pick(&[
+                    "\"",
+                    "\\",
+                    "\\u",
+                    "\\u12",
+                    "\\ud83d",
+                    "\\udc00",
+                    "\\ud83d\\u0041",
+                    "\\ud83d\\ude00",
+                    "\\x",
+                    "\\uzzzz",
+                    ",",
+                    "]",
+                    "}",
+                    ":",
+                    "1e",
+                    "-",
+                    "01",
+                    "tru",
+                    "é",
+                    "\u{1f600}",
+                    " ",
+                ]))
+                .to_string()
+            };
+            format!("{}{fragment}{}", &text[..at], &text[at..])
+        }
+    }
+
+    /// Parse results compared through `Debug`, so `-0.0` and `0.0` (equal
+    /// under `PartialEq`) must match bit for bit too.
+    fn parse_both(text: &str) -> (String, String) {
+        (
+            format!("{:?}", parse(text)),
+            format!("{:?}", oracle::parse(text)),
+        )
+    }
+
+    fn oracle_text(doc: &Json, canonical: bool) -> String {
+        let mut out = String::new();
+        oracle::write(doc, &mut out, canonical);
+        out
+    }
+
+    #[test]
+    fn parser_and_writer_match_the_reference_on_generated_documents() {
+        let mut gen = DocGen {
+            rng: tn_rng::Rng::seed_from_u64(0x15_0a1e).fork(1),
+        };
+        let (mut parsed_ok, mut parse_errors, mut duplicate_keys) = (0, 0, 0);
+        let mut controls = [false; 0x20];
+        let mut specials = [false; SPECIAL_NUMBERS.len()];
+        let (mut multibyte, mut surrogate_pairs, mut unpaired_surrogates) = (0, 0, 0);
+        for round in 0..1_000 {
+            let doc = gen.value(0);
+            let canonical = doc.to_canonical_string();
+            assert_eq!(
+                canonical,
+                oracle_text(&doc, true),
+                "round {round}: canonical {doc:?}"
+            );
+            assert_eq!(
+                doc.to_string(),
+                oracle_text(&doc, false),
+                "round {round}: display"
+            );
+            multibyte += usize::from(canonical.bytes().any(|b| b >= 0x80));
+
+            let mut text = String::new();
+            gen.spell(&doc, &mut text);
+            let damaged = gen.damage(&text);
+            for candidate in [&text, &damaged] {
+                let (new, reference) = parse_both(candidate);
+                assert_eq!(new, reference, "round {round}: parse of {candidate:?}");
+                match parse(candidate) {
+                    Ok(reparsed) => {
+                        parsed_ok += 1;
+                        assert_eq!(
+                            reparsed.to_canonical_string(),
+                            oracle_text(&reparsed, true),
+                            "round {round}: canonical of the parse of {candidate:?}"
+                        );
+                    }
+                    Err(_) => parse_errors += 1,
+                }
+                surrogate_pairs +=
+                    usize::from(candidate.to_ascii_lowercase().contains("\\ud83d\\ude00"));
+                unpaired_surrogates += usize::from(
+                    candidate.contains("\\udc00") || candidate.contains("\\ud83d\\u0041"),
+                );
+            }
+            // `text` spells `doc` exactly.
+            assert_eq!(
+                format!("{:?}", parse(&text)),
+                format!("{:?}", Ok::<_, JsonError>(doc.clone()))
+            );
+
+            let mut stack = vec![&doc];
+            while let Some(node) = stack.pop() {
+                match node {
+                    Json::Num(v) => {
+                        for (seen, special) in specials.iter_mut().zip(SPECIAL_NUMBERS) {
+                            *seen |= v.to_bits() == special.to_bits();
+                        }
+                    }
+                    Json::Str(s) => {
+                        for b in s.bytes().filter(|b| *b < 0x20) {
+                            controls[usize::from(b)] = true;
+                        }
+                    }
+                    Json::Array(items) => stack.extend(items),
+                    Json::Object(members) => {
+                        let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+                        keys.sort_unstable();
+                        duplicate_keys += usize::from(keys.windows(2).any(|w| w[0] == w[1]));
+                        stack.extend(members.iter().map(|(_, v)| v));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        // The loop must have exercised what it claims to.
+        assert!(
+            parsed_ok > 1_000 && parse_errors > 300,
+            "{parsed_ok} ok, {parse_errors} errors"
+        );
+        assert!(
+            duplicate_keys > 50,
+            "{duplicate_keys} objects with duplicate keys"
+        );
+        assert!(
+            controls.iter().all(|&c| c),
+            "every control byte: {controls:?}"
+        );
+        assert!(
+            specials.iter().all(|&s| s),
+            "every special number: {specials:?}"
+        );
+        assert!(
+            multibyte > 50,
+            "{multibyte} documents with multi-byte UTF-8"
+        );
+        assert!(
+            surrogate_pairs > 20 && unpaired_surrogates > 20,
+            "{surrogate_pairs} / {unpaired_surrogates}"
+        );
+    }
+
+    #[test]
+    fn canonical_duplicate_keys_keep_the_last_value() {
+        let doc = parse(r#"{"b":1,"a":2,"b":3,"a":{"z":0,"z":[]},"c":4}"#).unwrap();
+        assert_eq!(doc.to_canonical_string(), r#"{"a":{"z":[]},"b":3,"c":4}"#);
+        assert_eq!(doc.to_canonical_string(), oracle_text(&doc, true));
     }
 }

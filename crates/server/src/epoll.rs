@@ -695,29 +695,26 @@ fn pump(conn: &mut Conn, ctx: &Ctx) -> Drive {
                         ctx.shared.state.metrics.conn_cap_closed();
                     }
                     let keep = request.keep_alive && !conn.peer_closed && !capped;
-                    if router::wants_worker(&ctx.shared.state, &request) {
-                        if pool_saturated(ctx.shared) {
-                            ctx.shared.state.metrics.overload();
-                            tn_obs::warn("request_shed", &[("token", conn.token.into())]);
-                            conn.stage(&Response::overload(), false);
-                        } else {
-                            conn.pending_keep = keep;
-                            conn.phase = Phase::Handling;
-                            ctx.shared
-                                .jobs
-                                .queue
-                                .lock()
-                                .expect("job queue poisoned")
-                                .push_back(Job {
-                                    shard: ctx.shard,
-                                    token: conn.token,
-                                    request,
-                                });
-                            ctx.shared.jobs.ready.notify_one();
-                        }
-                    } else {
-                        let response = router::handle(&ctx.shared.state, &request);
+                    if let Some(response) = router::handle_inline(&ctx.shared.state, &request) {
                         conn.stage(&response, keep);
+                    } else if pool_saturated(ctx.shared) {
+                        ctx.shared.state.metrics.overload();
+                        tn_obs::warn("request_shed", &[("token", conn.token.into())]);
+                        conn.stage(&Response::overload(), false);
+                    } else {
+                        conn.pending_keep = keep;
+                        conn.phase = Phase::Handling;
+                        ctx.shared
+                            .jobs
+                            .queue
+                            .lock()
+                            .expect("job queue poisoned")
+                            .push_back(Job {
+                                shard: ctx.shard,
+                                token: conn.token,
+                                request,
+                            });
+                        ctx.shared.jobs.ready.notify_one();
                     }
                 }
                 Ok(None) => {

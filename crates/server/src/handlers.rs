@@ -10,6 +10,7 @@ use crate::cache::ShardedCache;
 use crate::http::Response;
 use crate::metrics::Metrics;
 use crate::singleflight::{Outcome, SingleFlight};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use tn_core::json::{self, push_json_f64, push_json_num, push_json_str, Json};
 use tn_core::{registry, Pipeline, PipelineConfig};
@@ -1048,17 +1049,50 @@ fn assess_fleet(
 /// the precomputed risk surface; out-of-grid configurations fall back to
 /// a direct Monte-Carlo run (`"source": "mc"` in the result).
 pub fn fleet(state: &AppState, body: &[u8]) -> Response {
-    match fleet_inner(state, body) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
+    FleetRequest::parse(state, body).answer(state)
+}
+
+/// A `POST /v1/fleet` body parsed once. The event loop reads its
+/// `(seed, quick)` surface key to decide inline-vs-offload, and the
+/// handler answers from the same document, so a request answered
+/// inline is parsed exactly once.
+pub(crate) struct FleetRequest {
+    parsed: Result<(Json, u64, bool), BadRequest>,
+}
+
+impl FleetRequest {
+    /// Parses the body and its `seed` / `quick` fields.
+    pub(crate) fn parse(state: &AppState, body: &[u8]) -> Self {
+        let parsed = parse_body(body).and_then(|doc| {
+            let seed = optional_u64(&doc, "seed", state.seed)?;
+            let quick = optional_bool(&doc, "quick", true)?;
+            Ok((doc, seed, quick))
+        });
+        Self { parsed }
+    }
+
+    /// Which `(seed, quick)` risk surface the request would use, or
+    /// `None` when it is malformed (those fail fast without a surface
+    /// build, so they never need the worker pool).
+    pub(crate) fn surface_key(&self) -> Option<(u64, bool)> {
+        self.parsed.as_ref().ok().map(|&(_, seed, quick)| (seed, quick))
+    }
+
+    /// The response: a 400 for a malformed body, else the assessment.
+    pub(crate) fn answer(self, state: &AppState) -> Response {
+        self.parsed
+            .and_then(|(doc, seed, quick)| fleet_inner(state, &doc, seed, quick))
+            .unwrap_or_else(|bad| bad.response())
     }
 }
 
-fn fleet_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
+fn fleet_inner(
+    state: &AppState,
+    doc: &Json,
+    seed: u64,
+    quick: bool,
+) -> Result<Response, BadRequest> {
     let _span = tn_obs::span("fleet.bulk");
-    let doc = parse_body(body)?;
-    let seed = optional_u64(&doc, "seed", state.seed)?;
-    let quick = optional_bool(&doc, "quick", true)?;
 
     // Inline mode carries the entries in the request; registry mode
     // snapshots (a subset of) the server fleet, with the registry
@@ -1085,9 +1119,9 @@ fn fleet_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
                     Json::Object(fields) if item.get("id").is_none() => {
                         let mut fields = fields.clone();
                         fields.push(("id".into(), Json::Str(format!("inline-{i:04}"))));
-                        Json::Object(fields)
+                        Cow::Owned(Json::Object(fields))
                     }
-                    other => other.clone(),
+                    other => Cow::Borrowed(other),
                 };
                 let entry = FleetEntry::from_json(&with_id).map_err(|e| {
                     let bad = BadRequest::from(e);
@@ -1215,22 +1249,11 @@ fn stream_params(default_seed: u64, path: &str) -> Result<(u64, bool), BadReques
     Ok((seed, quick))
 }
 
-/// Which `(seed, quick)` risk surface a bulk fleet request would use,
-/// or `None` when the request is malformed (those fail fast without a
-/// surface build, so they never need the worker pool). Used by the
-/// event loop to decide inline-vs-offload before dispatching.
-pub fn fleet_surface_key(
-    state: &AppState,
-    request: &crate::http::Request,
-) -> Option<(u64, bool)> {
-    let path = request.path.split(['?', '#']).next().unwrap_or("");
-    if path == "/v1/fleet/stream" {
-        return stream_params(state.seed, &request.path).ok();
-    }
-    let doc = parse_body(&request.body).ok()?;
-    let seed = optional_u64(&doc, "seed", state.seed).ok()?;
-    let quick = optional_bool(&doc, "quick", true).ok()?;
-    Some((seed, quick))
+/// Which `(seed, quick)` risk surface `GET /v1/fleet/stream` would use,
+/// or `None` for a malformed query (answered with a 400 without a
+/// surface build). Used by the event loop's offload decision.
+pub(crate) fn fleet_stream_surface_key(state: &AppState, path: &str) -> Option<(u64, bool)> {
+    stream_params(state.seed, path).ok()
 }
 
 fn fleet_stream_inner(state: &AppState, path: &str) -> Result<Response, BadRequest> {
@@ -1841,7 +1864,7 @@ mod tests {
     #[test]
     fn fleet_inline_assesses_from_the_surface() {
         let s = state();
-        let before = tn_core::transport::stats::histories_total();
+        assert!(!s.surface_ready(3, true));
         let r = fleet(
             &s,
             br#"{"devices":[{"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19,"avf":0.5}],"seed":3}"#,
@@ -1860,16 +1883,23 @@ mod tests {
             .and_then(Json::as_f64)
             .unwrap();
         assert!(total > 0.0);
-        // Histories were spent building the surface; a repeat of the
-        // same query must not touch the transport kernel at all.
-        let after_build = tn_core::transport::stats::histories_total();
-        assert!(after_build > before, "surface build runs the kernel once");
+        // The first query built the surface; a repeat of the same query
+        // (spelled differently) is a response-cache hit, so it neither
+        // assesses nor builds anything. Only this state's own counters
+        // are read: the process-global transport counter also moves with
+        // tests running in parallel.
+        assert!(s.surface_ready(3, true), "the first query builds the surface");
+        let metrics = s.metrics.render();
+        assert!(metrics.contains("tn_cache_hits_total 0"), "{metrics}");
+        assert!(metrics.contains("tn_cache_misses_total 1"), "{metrics}");
         let again = fleet(
             &s,
             br#"{"seed":3,"devices":[{"avf":0.5,"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19}]}"#,
         );
         assert_eq!(again.body_text(), r.body_text());
-        assert_eq!(tn_core::transport::stats::histories_total(), after_build);
+        let metrics = s.metrics.render();
+        assert!(metrics.contains("tn_cache_hits_total 1"), "{metrics}");
+        assert!(metrics.contains("tn_cache_misses_total 1"), "{metrics}");
     }
 
     #[test]

@@ -34,25 +34,41 @@ fn endpoint_of(path: &str) -> Endpoint {
     }
 }
 
-/// Whether a request must be parked on the worker pool instead of
-/// running inline on an event-loop shard. True for the handlers that
-/// may run Monte-Carlo transport; the bulk fleet endpoints only until
-/// their risk surface is memoised — after that they are pure table
-/// lookups (or cache hits) and are cheaper than a queue round-trip.
-pub fn wants_worker(state: &AppState, request: &Request) -> bool {
-    match endpoint_of(&request.path) {
-        Endpoint::Fit | Endpoint::CrossSections | Endpoint::Transport => true,
+/// Answers a request on the calling event-loop shard, or returns `None`
+/// when it must be parked on the worker pool instead: always for the
+/// handlers that may run Monte-Carlo transport, and for the bulk fleet
+/// endpoints until their risk surface is memoised — after that they are
+/// pure table lookups (or cache hits) and are cheaper than a queue
+/// round-trip. A `POST /v1/fleet` body is parsed once, for both the
+/// decision and the inline answer; only a request sent to the pool is
+/// parsed again there.
+pub(crate) fn handle_inline(state: &AppState, request: &Request) -> Option<Response> {
+    let started = Instant::now();
+    let endpoint = endpoint_of(&request.path);
+    let surface_unbuilt = |key: Option<(u64, bool)>| {
+        // Malformed fleet requests take the cheap error path inline.
+        key.is_some_and(|(seed, quick)| !state.surface_ready(seed, quick))
+    };
+    match endpoint {
+        Endpoint::Fit | Endpoint::CrossSections | Endpoint::Transport => None,
         // Scenario campaigns simulate hundreds of virtual hours (and may
         // run Monte-Carlo moderation boosts) — never inline on a shard.
-        Endpoint::ScenarioRun => true,
-        Endpoint::Fleet | Endpoint::FleetStream => {
-            match handlers::fleet_surface_key(state, request) {
-                Some((seed, quick)) => !state.surface_ready(seed, quick),
-                // Malformed fleet requests take the cheap error path.
-                None => false,
+        Endpoint::ScenarioRun => None,
+        Endpoint::Fleet if request.method == "POST" => {
+            let fleet = handlers::FleetRequest::parse(state, &request.body);
+            if surface_unbuilt(fleet.surface_key()) {
+                return None;
             }
+            Some(instrumented(state, request, endpoint, started, || {
+                fleet.answer(state)
+            }))
         }
-        _ => false,
+        Endpoint::FleetStream
+            if surface_unbuilt(handlers::fleet_stream_surface_key(state, &request.path)) =>
+        {
+            None
+        }
+        _ => Some(handle(state, request)),
     }
 }
 
@@ -62,11 +78,25 @@ pub fn wants_worker(state: &AppState, request: &Request) -> bool {
 /// response header and to the request-scoped trace event, so a JSONL
 /// trace line can be correlated with the response a client saw.
 pub fn handle(state: &AppState, request: &Request) -> Response {
-    state.metrics.enter();
-    let request_id = state.next_request_id();
     let started = Instant::now();
     let endpoint = endpoint_of(&request.path);
-    let response = dispatch(state, request, endpoint);
+    instrumented(state, request, endpoint, started, || {
+        dispatch(state, request, endpoint)
+    })
+}
+
+/// Runs `respond` as the request's handler; the recorded latency runs
+/// from `started`.
+fn instrumented(
+    state: &AppState,
+    request: &Request,
+    endpoint: Endpoint,
+    started: Instant,
+    respond: impl FnOnce() -> Response,
+) -> Response {
+    state.metrics.enter();
+    let request_id = state.next_request_id();
+    let response = respond();
     let elapsed_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     state.metrics.record_request(
         endpoint,
@@ -241,5 +271,54 @@ mod tests {
             .metrics
             .render()
             .contains("tn_request_latency_seconds_count{endpoint=\"/healthz\"} 1"));
+    }
+
+    #[test]
+    fn fleet_offload_waits_for_the_surface_and_shares_the_parse() {
+        let state = AppState::new(1, 8, 1);
+        let body = br#"{"devices":[{"device":"NVIDIA K20","altitude_m":1609}],"seed":5}"#;
+        let fleet = req("POST", "/v1/fleet", body);
+        let stream = req("GET", "/v1/fleet/stream?seed=5", b"");
+
+        // Unbuilt surface: both fleet endpoints go to the pool, and the
+        // decision leaves nothing in flight.
+        assert!(handle_inline(&state, &fleet).is_none());
+        assert!(handle_inline(&state, &stream).is_none());
+        assert!(state.metrics.render().contains("tn_inflight_requests 0"));
+        // Transport-running handlers always do, whatever the body.
+        assert!(handle_inline(&state, &req("POST", "/v1/fit", b"{oops")).is_none());
+        assert!(handle_inline(&state, &req("POST", "/v1/scenario/run", b"")).is_none());
+
+        // Malformed bodies and queries are answered inline (a 400) with
+        // no surface build.
+        for bad in [&b"{oops"[..], br#"{"seed":-1}"#, br#"{"quick":1}"#] {
+            let r = handle_inline(&state, &req("POST", "/v1/fleet", bad)).expect("inline");
+            assert_eq!(r.status, 400, "{}", r.body_text());
+        }
+        let r = handle_inline(&state, &req("GET", "/v1/fleet/stream?seed=x", b"")).expect("inline");
+        assert_eq!(r.status, 400);
+        assert!(!state.surface_ready(5, true));
+
+        // Built surface: answered inline, byte-identical to the pool's
+        // answer, and recorded like any other request.
+        state.surface(5, true);
+        let inline = handle_inline(&state, &fleet).expect("inline once the surface is built");
+        assert_eq!(inline.status, 200, "{}", inline.body_text());
+        assert_eq!(inline.body_text(), handle(&state, &fleet).body_text());
+        assert!(inline
+            .extra_headers
+            .iter()
+            .any(|(k, _)| k == "x-request-id"));
+        assert!(handle_inline(&state, &stream).is_some());
+        let text = state.metrics.render();
+        assert!(
+            text.contains("endpoint=\"/v1/fleet\",status=\"200\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("endpoint=\"/v1/fleet\",status=\"400\"} 3"),
+            "{text}"
+        );
+        assert!(text.contains("tn_inflight_requests 0"));
     }
 }

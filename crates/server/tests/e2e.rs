@@ -700,6 +700,30 @@ fn malformed_json_gets_400_on_every_post_endpoint(io: IoModel) {
     server.stop();
 }
 
+/// Maximal bodies must cost the event loop linear time: one string
+/// filling the whole 1 MiB body cap, and 10⁵ short strings, each answered
+/// with its 400 well inside a generous bound (the offload decision and
+/// the handler both read the body, inline on a shard).
+fn maximal_fleet_bodies_get_their_400_in_linear_time(io: IoModel) {
+    let server = start(io, 2);
+    let addr = server.addr();
+    let one_string = format!(
+        "{{\"devices\":\"{}\"}}",
+        "x".repeat(tn_server::http::MAX_BODY_BYTES - 16)
+    );
+    let many_strings = format!("{{\"devices\":[{}]}}", vec!["\"ab\""; 100_000].join(","));
+    for (body, why) in [(&one_string, "must be an array"), (&many_strings, "entries")] {
+        assert!(body.len() <= tn_server::http::MAX_BODY_BYTES);
+        let started = Instant::now();
+        let (status, _, text) = post(addr, "/v1/fleet", body);
+        let elapsed = started.elapsed();
+        assert_eq!(status, 400, "{text}");
+        assert!(text.contains(why), "{text}");
+        assert!(elapsed < Duration::from_secs(1), "{} bytes took {elapsed:?}", body.len());
+    }
+    server.stop();
+}
+
 /// The documented ingest batch cap is a hard edge: exactly 10 000
 /// samples are accepted, 10 001 are rejected as a 400 — with the monitor
 /// left untouched by the rejected batch.
@@ -1323,6 +1347,10 @@ macro_rules! io_model_suite {
         #[test]
         fn timeline_bulk_and_stream_agree_over_keep_alive() {
             super::timeline_bulk_and_stream_agree_over_keep_alive($model)
+        }
+        #[test]
+        fn maximal_fleet_bodies_get_their_400_in_linear_time() {
+            super::maximal_fleet_bodies_get_their_400_in_linear_time($model)
         }
         #[test]
         fn timeline_ingest_batch_boundary_is_exact() {

@@ -207,9 +207,15 @@ rm -rf "$scenario_dir"
 echo "tn-scenario gate OK"
 
 # ---- benchmark smoke -------------------------------------------------------
-# A short untraced run of the benchmark's study workload (paper pipeline,
-# Figure 5 and FIT tables, built-in scenarios over the fixed seed set).
-# The benchmark exits non-zero when a build fails or an output check does
-# not hold, e.g. when the study's digests stop repeating.
+# Short untraced runs of the benchmark's study workload (paper pipeline,
+# Figure 5 and FIT tables, built-in scenarios over the fixed seed set)
+# and of its fleet_hot workload (cached POST /v1/fleet against a real
+# daemon). The benchmark exits non-zero when a build fails or an output
+# check does not hold, e.g. when the study's digests stop repeating, or
+# when a sampled fleet response (one in 256) differs byte for byte from
+# the in-process handlers::fleet answer — which a change to the cache
+# keys or to request parsing would cause.
 CARGO_TARGET_DIR=target python3 perfbench/run.py --workload study --seed 1 --seconds 3 --trace 0 >/dev/null
 echo "benchmark study smoke OK"
+CARGO_TARGET_DIR=target python3 perfbench/run.py --workload fleet_hot --seed 1 --seconds 3 --trace 0 >/dev/null
+echo "benchmark fleet_hot smoke OK"
